@@ -164,8 +164,9 @@ func TestRunStreamPreCancelled(t *testing.T) {
 }
 
 // TestWorkerPoolSharedAcrossRuns: concurrent RunStream calls over one
-// tiny pool must all complete (no slot deadlock even when reorder
-// windows block) and produce the same bytes as solo runs.
+// tiny pool must all complete (no slot deadlock even while runs park
+// chunks behind their frontiers and wait for in-flight credits) and
+// produce the same bytes as solo runs.
 func TestWorkerPoolSharedAcrossRuns(t *testing.T) {
 	const runs = 3
 	pool := NewWorkerPool(2)

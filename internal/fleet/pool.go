@@ -6,13 +6,11 @@ package fleet
 // process-wide budget instead of workers × jobs.
 //
 // Slots gate simulation only. A RunStream worker acquires a slot,
-// simulates one chunk of devices, and releases the slot before
-// delivering the chunk's rows to the ordered sink — delivery can
-// block on the reorder window behind rows another run (or another
-// worker waiting for a slot) still owes, and holding a slot across
-// that wait could deadlock a full pool. Because blocked deliverers
-// hold no slots, every slot is always doing simulation work and the
-// pool drains no matter how many runs share it.
+// simulates one chunk of devices, and releases the slot before handing
+// the chunk to its run's committer, which delivers the rows in order.
+// A slot is never held across a wait on another run or another chunk,
+// so every held slot is doing simulation work and the pool drains no
+// matter how many runs share it.
 
 import (
 	"context"
@@ -41,15 +39,13 @@ func (p *WorkerPool) Size() int { return cap(p.sem) }
 // for asserting quiescence (no runs in flight).
 func (p *WorkerPool) InUse() int { return len(p.sem) }
 
-// acquire takes a slot, giving up when ctx is cancelled or the run
-// aborts. It reports whether the slot was acquired.
-func (p *WorkerPool) acquire(ctx context.Context, abort <-chan struct{}) bool {
+// acquire takes a slot, giving up when the run's ctx is done. It
+// reports whether the slot was acquired.
+func (p *WorkerPool) acquire(ctx context.Context) bool {
 	select {
 	case p.sem <- struct{}{}:
 		return true
 	case <-ctx.Done():
-		return false
-	case <-abort:
 		return false
 	}
 }

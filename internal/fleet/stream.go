@@ -2,21 +2,22 @@ package fleet
 
 // This file is the streaming fleet core. Scenarios come from a lazy
 // Source (so a million-device fleet is never materialized), workers
-// claim deterministic contiguous chunks of devices, per-chunk
-// aggregator shards accumulate the report in constant memory, and an
-// optional Sink receives every row in scenario order through a
-// bounded reorder window. A committer folds finished chunks back
-// into global order, and its contiguous commit frontier — together
-// with the aggregator snapshot and the sink's delivered-row index —
-// is what StreamOptions.Checkpoint persists and StreamOptions.Resume
-// restarts from. StreamOptions.Partition restricts a run to one
-// device range of the fleet (global indices preserved), which is the
-// multi-process sharding substrate (see checkpoint.go and merge.go).
-// fleet.Run is a thin wrapper that attaches a collecting sink.
+// claim deterministic contiguous chunks of devices and simulate each
+// into its rows plus an aggregator shard, and a single committer
+// restores scenario order: it parks chunks that finish early and,
+// chunk by chunk in order, hands the rows to the optional Sink and
+// folds the shard into the report. A fixed number of in-flight chunks
+// per worker bounds what it parks behind a slow device. Its
+// contiguous commit frontier — together with the aggregator snapshot
+// and the sink's delivered-row index — is what
+// StreamOptions.Checkpoint persists and StreamOptions.Resume restarts
+// from. StreamOptions.Partition restricts a run to one device range
+// of the fleet (global indices preserved), which is the multi-process
+// sharding substrate (see checkpoint.go and merge.go). fleet.Run is a
+// thin wrapper that attaches a collecting sink.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -67,11 +68,11 @@ type Sink interface {
 // sink that can force delivered rows to stable storage. When the
 // run's Sink implements it, RunStream calls Flush immediately before
 // every checkpoint write, so the persisted row frontier is always
-// covered by durable sink output. Checkpoint writes happen on an
-// async writer, so Flush may run concurrently with Consume —
-// implementations must serialize internally (NDJSONFile does; its
-// fsync deliberately runs outside the lock so delivery never stalls
-// behind the disk).
+// covered by durable sink output. Consume runs on the committer and
+// checkpoint writes on an async writer, so Flush may run concurrently
+// with Consume — implementations must serialize internally
+// (NDJSONFile does; its fsync deliberately runs outside the lock so
+// delivery never stalls behind the disk).
 type Flusher interface {
 	Flush() error
 }
@@ -193,7 +194,7 @@ type StreamOptions struct {
 	// Context, when set, cancels an in-flight run: workers stop at the
 	// next device boundary, no further chunks commit, and RunStream
 	// returns an error wrapping ctx.Err(). A cancelled checkpointed run
-	// still writes one final checkpoint at its commit frontier — the
+	// still leaves one final checkpoint at its commit frontier — the
 	// consistent (aggregator, delivered rows) prefix — so cancellation
 	// (the fleet service's job abort and graceful drain) is resumable
 	// exactly like a crash, minus the lost tail. nil: never cancelled.
@@ -210,91 +211,22 @@ type StreamOptions struct {
 	Clock Clock
 }
 
-// reorder is the bounded window that restores scenario order for sink
-// delivery. A worker whose finished row is too far ahead of the
-// oldest undelivered index blocks until the window advances, so
-// pending never holds more than window rows — the window is what
-// keeps a fleet with one pathologically slow device from buffering
-// the entire rest of the fleet behind it.
-type reorder struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	next    int
-	window  int
-	pending map[int]Result
-	sink    Sink
-	err     error
-}
-
-func newReorder(sink Sink, workers, next0 int) *reorder {
-	// A few rows of slack per worker hides delivery jitter without
-	// growing the O(workers) memory bound.
-	w := &reorder{
-		next:    next0,
-		window:  4 * workers,
-		pending: make(map[int]Result, 4*workers+1),
-		sink:    sink,
-	}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-// deliver hands row i to the window and flushes every row that became
-// in-order, blocking while i is beyond the window. It reports whether
-// the run should continue. The worker holding the oldest index never
-// blocks (i == next is always inside the window), so the window
-// always drains.
-func (w *reorder) deliver(i int, r Result) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.err == nil && i >= w.next+w.window {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return false
-	}
-	w.pending[i] = r
-	advanced := false
-	for {
-		row, ok := w.pending[w.next]
-		if !ok {
-			break
-		}
-		delete(w.pending, w.next)
-		if err := w.sink.Consume(w.next, row); err != nil {
-			w.err = fmt.Errorf("fleet: sink at row %d: %w", w.next, err)
-			w.cond.Broadcast()
-			return false
-		}
-		w.next++
-		advanced = true
-	}
-	if advanced {
-		w.cond.Broadcast()
-	}
-	return true
-}
-
-// cancel fails the window (first error wins) and wakes every worker
-// blocked in deliver, so a cancelled run's workers stop instead of
-// waiting for a window advance that will never come.
-func (w *reorder) cancel(err error) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
 // chunkDone is a worker's completion record for one contiguous chunk:
-// its half-open device range and the aggregator shard over exactly
-// those rows. A worker sends it only after every row of the chunk has
-// been handed to the ordered sink.
+// its half-open device range, the aggregator shard over exactly those
+// rows, and the rows themselves (nil when the run has no sink).
 type chunkDone struct {
 	start, end int
 	agg        *Agg
+	rows       []Result
 }
+
+// inflightPerWorker bounds how many chunks per worker may be
+// dispatched but not yet committed. The dispatcher takes a credit
+// before handing out a chunk and the committer returns it when the
+// chunk commits, so one slow device parks at most
+// inflightPerWorker × workers chunks behind it — memory stays
+// O(workers × chunk), independent of fleet size.
+const inflightPerWorker = 2
 
 // ckptJob is one queued checkpoint write: a commit frontier and the
 // aggregator snapshot taken at exactly that frontier.
@@ -343,14 +275,16 @@ func (w *ckptWriter) drain() (last int, wrote bool, err error) {
 	return w.last, w.wrote, w.err
 }
 
-// committer folds finished chunks back into contiguous device order.
-// Chunks complete out of order; the committer parks early arrivals
-// and advances its frontier only through gap-free prefixes. Because
-// (a) workers deliver every row of a chunk before reporting it done
-// and (b) the reorder mutex serializes delivery, a frontier of R
-// means the sink has consumed exactly rows [Start, R) and the
-// committed aggregator holds exactly that multiset — the invariant
-// that makes each CheckpointState consistent and resume exact.
+// committer is the one place RunStream restores scenario order.
+// Chunks complete out of order; the committer parks early arrivals,
+// and whenever the chunk at its frontier is parked it hands that
+// chunk's rows to the sink, merges its aggregator shard and advances
+// the frontier. Delivery and commit happen in this one goroutine, so
+// a frontier of R means the sink has consumed exactly rows [Start, R)
+// and the committed aggregator holds exactly that multiset — the
+// invariant that makes each CheckpointState consistent and resume
+// exact. Every committed chunk returns its in-flight credit to the
+// dispatcher, which is what bounds the parked chunks.
 type committer struct {
 	spec       *CheckpointSpec
 	state      CheckpointState // identity template; Rows/AggSnap filled per write
@@ -358,39 +292,54 @@ type committer struct {
 	rows       int               // commit frontier: rows [state.Start, rows) are committed
 	lastQueued int               // frontier of the most recently queued checkpoint
 	pending    map[int]chunkDone // parked chunks, keyed by start index
+	sink       Sink
 	flusher    Flusher
-	writer     *ckptWriter // nil unless spec is set and work remains
-	fail       func()      // aborts dispatch after a checkpoint failure
+	credits    <-chan struct{} // one per dispatched, uncommitted chunk
+	writer     *ckptWriter     // nil unless spec is set and work remains
+	fail       func()          // aborts the run after a sink or checkpoint failure
 	err        error
 }
 
-// run drains the commits channel until it closes. After a checkpoint
-// failure it keeps draining (workers must never block on a full
-// channel) but stops committing.
-func (c *committer) run(commits <-chan chunkDone) {
+// run drains the commits channel until it closes. After a sink or
+// checkpoint failure, or once ctx is done, it keeps draining (workers
+// must never block on a full channel) but stops committing.
+func (c *committer) run(ctx context.Context, commits <-chan chunkDone) {
 	for cd := range commits {
 		if c.err != nil {
 			continue
 		}
 		c.pending[cd.start] = cd
-		for {
-			nxt, ok := c.pending[c.rows]
-			if !ok {
-				break
-			}
-			delete(c.pending, c.rows)
-			c.committed.Merge(nxt.agg)
-			c.rows = nxt.end
-		}
-		if c.spec != nil && c.rows-c.lastQueued >= c.spec.every() {
-			if err := c.queueCheckpoint(); err != nil {
-				c.err = err
-				if c.fail != nil {
-					c.fail()
-				}
-			}
+		if err := c.advance(ctx); err != nil {
+			c.err = err
+			c.fail()
 		}
 	}
+}
+
+// advance commits every parked chunk that has become next in order —
+// rows to the sink, shard into the committed aggregator, credit back
+// to the dispatcher — and queues a checkpoint once the frontier has
+// moved far enough past the last one.
+func (c *committer) advance(ctx context.Context) error {
+	for ctx.Err() == nil {
+		cd, ok := c.pending[c.rows]
+		if !ok {
+			break
+		}
+		delete(c.pending, c.rows)
+		for k, r := range cd.rows {
+			if err := c.sink.Consume(cd.start+k, r); err != nil {
+				return fmt.Errorf("fleet: sink at row %d: %w", cd.start+k, err)
+			}
+		}
+		c.committed.Merge(cd.agg)
+		c.rows = cd.end
+		<-c.credits
+	}
+	if c.spec != nil && c.rows-c.lastQueued >= c.spec.every() {
+		return c.queueCheckpoint()
+	}
+	return nil
 }
 
 // queueCheckpoint snapshots the committed aggregator at the current
@@ -442,7 +391,7 @@ func (c *committer) writeLoop() {
 			c.writer.last, c.writer.wrote = job.rows, true
 		}
 		c.writer.mu.Unlock()
-		if err != nil && c.fail != nil {
+		if err != nil {
 			c.fail()
 		}
 	}
@@ -484,11 +433,12 @@ func (c *committer) writeCheckpoint() error {
 // RunStream simulates the fleet without materializing it: scenarios
 // are generated on demand, rows stream through the optional sink in
 // scenario order, and the report is aggregated online — memory is
-// O(workers × exact-percentile threshold) worst case, independent of
-// fleet size. Scenario-level failures (bad profile, missing model,
-// DNF, a Source error for one index) land in that row's Err and do
-// not abort the fleet; only a Sink or checkpoint error aborts,
-// returning that error (the sink's takes precedence).
+// O(workers × chunk size + exact-percentile threshold) worst case,
+// independent of fleet size. Scenario-level failures (bad profile,
+// missing model, DNF, a Source error for one index) land in that
+// row's Err and do not abort the fleet; only a Sink or checkpoint
+// error aborts, returning that error (the sink's takes precedence,
+// also over a concurrent cancellation).
 //
 // The report is bit-identical for any worker count and chunk size,
 // and — for fleets within the exact-percentile threshold —
@@ -543,6 +493,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		rows:       base,
 		lastQueued: base,
 		pending:    make(map[int]chunkDone),
+		sink:       opts.Sink,
 		flusher:    flusher,
 	}
 	cm.state = CheckpointState{
@@ -557,7 +508,6 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		cm.state.Fingerprint = opts.Checkpoint.Fingerprint
 	}
 
-	var win *reorder
 	if span > 0 {
 		workers := opts.Workers
 		if workers <= 0 {
@@ -577,33 +527,14 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 			chunk = 1
 		}
 
-		if opts.Sink != nil {
-			win = newReorder(opts.Sink, workers, base)
-		}
-
+		// runCtx is done once the caller cancels or a sink or
+		// checkpoint write fails; dispatch, pool waits, simulation and
+		// commits all stop on it.
+		runCtx, stop := context.WithCancel(ctx)
+		defer stop()
+		credits := make(chan struct{}, inflightPerWorker*workers)
 		commits := make(chan chunkDone, workers)
-		abort := make(chan struct{})
-		var abortOnce sync.Once
-		fail := func() { abortOnce.Do(func() { close(abort) }) }
-		cm.fail = fail
-
-		if ctx.Done() != nil {
-			// Watcher: a cancelled context stops dispatch (via abort) and
-			// wakes workers blocked in the reorder window, which would
-			// otherwise wait forever for rows that no one will simulate.
-			watchStop := make(chan struct{})
-			defer close(watchStop)
-			go func() {
-				select {
-				case <-ctx.Done():
-					if win != nil {
-						win.cancel(fmt.Errorf("fleet: run cancelled: %w", ctx.Err()))
-					}
-					fail()
-				case <-watchStop:
-				}
-			}()
-		}
+		cm.credits, cm.fail = credits, stop
 
 		if cm.spec != nil {
 			cm.writer = newCkptWriter()
@@ -614,7 +545,7 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			cm.run(commits)
+			cm.run(runCtx, commits)
 		}()
 
 		jobs := make(chan int)
@@ -624,29 +555,19 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 			go func() {
 				defer wg.Done()
 				for cs := range jobs {
-					ce := cs + chunk
-					if ce > pend {
-						ce = pend
-					}
-					// A shared pool slot covers simulation only; delivery
-					// below runs slot-free because the reorder window can
-					// block behind rows another run's slot-less worker owes
+					ce := min(cs+chunk, pend)
+					// A shared pool slot covers simulation only; it is
+					// released before the chunk goes to the committer
 					// (see WorkerPool).
-					if opts.Pool != nil && !opts.Pool.acquire(ctx, abort) {
-						fail()
+					if opts.Pool != nil && !opts.Pool.acquire(runCtx) {
 						return
 					}
 					shard := NewAgg(threshold)
 					var rows []Result
-					if win != nil {
+					if opts.Sink != nil {
 						rows = make([]Result, 0, ce-cs)
 					}
-					cancelled := false
-					for i := cs; i < ce; i++ {
-						if ctx.Err() != nil {
-							cancelled = true
-							break
-						}
+					for i := cs; i < ce && runCtx.Err() == nil; i++ {
 						s, err := src.At(i)
 						var r Result
 						if err != nil {
@@ -667,35 +588,32 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 						}
 						shard.Observe(r)
 						done.Add(1)
-						if win != nil {
+						if opts.Sink != nil {
 							rows = append(rows, r)
 						}
 					}
 					if opts.Pool != nil {
 						opts.Pool.Release()
 					}
-					if cancelled {
-						// The chunk is partial: neither deliver nor commit
-						// it, so the frontier never covers a half-simulated
-						// chunk.
-						fail()
+					if runCtx.Err() != nil {
+						// The chunk may be partial: never hand it over, so
+						// the frontier never covers a half-simulated chunk.
 						return
 					}
-					for k, r := range rows {
-						if !win.deliver(cs+k, r) {
-							fail()
-							return
-						}
-					}
-					commits <- chunkDone{start: cs, end: ce, agg: shard}
+					commits <- chunkDone{start: cs, end: ce, agg: shard, rows: rows}
 				}
 			}()
 		}
 	dispatch:
 		for cs := base; cs < pend; cs += chunk {
 			select {
+			case credits <- struct{}{}:
+			case <-runCtx.Done():
+				break dispatch
+			}
+			select {
 			case jobs <- cs:
-			case <-abort:
+			case <-runCtx.Done():
 				break dispatch
 			}
 		}
@@ -712,62 +630,30 @@ func RunStream(src Source, opts StreamOptions) (Report, error) {
 	if cm.writer != nil {
 		ckLast, ckWrote, ckErr = cm.writer.drain()
 	}
-
-	var winErr error
-	if win != nil {
-		win.mu.Lock()
-		winErr = win.err
-		win.mu.Unlock()
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// A sink failure unrelated to the cancellation still wins: the
-		// run was already broken before it was cancelled.
-		if winErr != nil && !errors.Is(winErr, cerr) {
-			return Report{}, winErr
-		}
-		if cm.err != nil {
-			return Report{}, cm.err
-		}
-		if ckErr != nil {
-			return Report{}, ckErr
-		}
-		if opts.Checkpoint != nil {
-			// Land one final checkpoint at the commit frontier: rows
-			// [Start, frontier) are aggregated, delivered and about to be
-			// flushed, so a cancelled run resumes exactly like a crashed
-			// one — anything the sink holds past the frontier is
-			// truncated back on resume.
-			if err := cm.flushSink(); err != nil {
-				return Report{}, err
-			}
-			if err := cm.writeCheckpoint(); err != nil {
-				return Report{}, err
-			}
-		}
-		return Report{}, fmt.Errorf("fleet: run cancelled: %w", cerr)
-	}
-	if winErr != nil {
-		return Report{}, winErr
-	}
 	if cm.err != nil {
 		return Report{}, cm.err
 	}
 	if ckErr != nil {
 		return Report{}, ckErr
 	}
-
 	if opts.Checkpoint != nil && !(ckWrote && ckLast == cm.rows) {
-		// Final checkpoint, written synchronously: frontier ==
-		// partition end, so the file doubles as the shard artifact's
-		// meta and a resume of a completed run is a no-op reproducing
-		// identical output. (Skipped when the writer's last landed
-		// write is already at the final frontier.)
+		// Final checkpoint, written synchronously at the commit
+		// frontier (skipped when the writer's last landed write is
+		// already there). On completion the frontier is the partition
+		// end, so the file doubles as the shard artifact's meta and a
+		// resume of a completed run is a no-op reproducing identical
+		// output. On cancellation it is the consistent (aggregator,
+		// delivered rows) prefix, so a cancelled run resumes exactly
+		// like a crashed one.
 		if err := cm.flushSink(); err != nil {
 			return Report{}, err
 		}
 		if err := cm.writeCheckpoint(); err != nil {
 			return Report{}, err
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return Report{}, fmt.Errorf("fleet: run cancelled: %w", err)
 	}
 
 	rep := committed.Report()

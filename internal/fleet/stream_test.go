@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,55 +111,73 @@ func TestRunStreamSinkOrdered(t *testing.T) {
 	}
 }
 
-// TestReorderWindowBounded: workers that race ahead of a slow oldest
-// index must block once they are a window beyond it — pending never
-// grows with fleet size, which is what keeps one slow device from
-// buffering the whole fleet behind it.
-func TestReorderWindowBounded(t *testing.T) {
-	sink := &orderSink{t: t}
-	w := newReorder(sink, 2, 0) // window = 8
-	const total = 40
+// TestRunStreamInFlightBounded: while the oldest device stalls, the
+// dispatcher must stop once inflightPerWorker × workers chunks are in
+// flight — no device past that bound is even requested from the
+// Source — so what the committer parks behind one slow device never
+// grows with fleet size. Releasing the device must then drain the run
+// to rows byte-identical to a single-worker run.
+func TestRunStreamInFlightBounded(t *testing.T) {
+	const (
+		workers = 2
+		chunk   = 4
+		n       = 64
+	)
+	capRows := inflightPerWorker * workers * chunk
+	inner := cancelSource(t, n)
 
-	var wg sync.WaitGroup
-	for i := 1; i < total; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if !w.deliver(i, Result{Name: fmt.Sprintf("dev%d", i)}) {
-				t.Errorf("deliver(%d) aborted", i)
-			}
-		}(i)
+	var want bytes.Buffer
+	if _, err := RunStream(inner, StreamOptions{Workers: 1, ChunkSize: chunk, Sink: NewNDJSONSink(&want)}); err != nil {
+		t.Fatal(err)
 	}
-	// Let the early indices land and the far ones block on the window.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		w.mu.Lock()
-		n := len(w.pending)
-		w.mu.Unlock()
-		if n == w.window-1 { // 1..7 inserted; 8+ blocked; 0 outstanding
-			break
+
+	gate := make(chan struct{})
+	var released atomic.Bool
+	src := FuncSource(n, func(i int) (Scenario, error) {
+		if i == 0 {
+			<-gate
+		} else if i >= capRows && !released.Load() {
+			t.Errorf("device %d requested past the in-flight bound (%d devices) while device 0 is held", i, capRows)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pending stuck at %d rows, want %d", n, w.window-1)
-		}
-		time.Sleep(time.Millisecond)
+		return inner.At(i)
+	})
+	// Every in-cap device outside chunk 0 has been simulated once
+	// progress reaches capRows-chunk; device 0 holds chunk 0 back.
+	parked := make(chan struct{})
+	var once sync.Once
+	var got bytes.Buffer
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunStream(src, StreamOptions{
+			Workers:       workers,
+			ChunkSize:     chunk,
+			Sink:          NewNDJSONSink(&got),
+			ProgressEvery: time.Millisecond,
+			Progress: func(done, total int) {
+				if done >= capRows-chunk {
+					once.Do(func() { close(parked) })
+				}
+			},
+		})
+		errc <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-errc:
+		t.Fatalf("run ended while device 0 was held: %v", err)
+	case <-time.After(time.Minute):
+		t.Fatal("in-cap devices were never all simulated: the bound is tighter than inflightPerWorker × workers chunks")
 	}
-	if len(sink.rows) != 0 {
-		t.Fatalf("sink received %d rows before the oldest index", len(sink.rows))
+	if got.Len() != 0 {
+		t.Fatal("the sink received rows before device 0")
 	}
-	// Releasing the oldest index must drain everything, in order.
-	if !w.deliver(0, Result{Name: "dev0"}) {
-		t.Fatal("deliver(0) aborted")
+	released.Store(true)
+	close(gate)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	w.mu.Lock()
-	left := len(w.pending)
-	w.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d rows stranded in the window", left)
-	}
-	if len(sink.rows) != total {
-		t.Fatalf("sink received %d rows, want %d", len(sink.rows), total)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("rows differ from the single-worker run")
 	}
 }
 
@@ -207,19 +227,28 @@ func TestRunStreamSourceErrorLandsInRow(t *testing.T) {
 }
 
 // TestRunStreamSinkErrorAborts: a failing sink stops the run and the
-// error reaches the caller.
+// error reaches the caller — also when the same Consume call cancels
+// the run's context: a sink failure unrelated to the cancellation
+// still wins over context.Canceled.
 func TestRunStreamSinkErrorAborts(t *testing.T) {
 	m := tinyModel(t)
 	scenarios := testFleet(t, m)
-	sink := SinkFunc(func(i int, r Result) error {
-		if i == 3 {
-			return fmt.Errorf("disk full")
+	for _, cancelToo := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := SinkFunc(func(i int, r Result) error {
+			if i == 3 {
+				if cancelToo {
+					cancel()
+				}
+				return fmt.Errorf("disk full")
+			}
+			return nil
+		})
+		_, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 4, Sink: sink, Context: ctx})
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("cancel=%v: err = %v, want the sink error", cancelToo, err)
 		}
-		return nil
-	})
-	_, err := RunStream(SliceSource(scenarios), StreamOptions{Workers: 4, Sink: sink})
-	if err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("err = %v, want the sink error", err)
 	}
 }
 

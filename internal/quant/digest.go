@@ -21,8 +21,9 @@ func (m *Model) ContentDigest() [32]byte {
 	}
 	h := sha256.New()
 	if err := gob.NewEncoder(h).Encode(m); err != nil {
-		// Model is gob-serializable by construction (SaveFile uses the
-		// same encoding); an in-memory encode cannot fail.
+		// Model is gob-serializable by construction (Save and the
+		// artifact container use the same encoding); an in-memory
+		// encode cannot fail.
 		panic(fmt.Sprintf("quant: hashing model %q: %v", m.Name, err))
 	}
 	var d [32]byte

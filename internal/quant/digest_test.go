@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ehdl/internal/artifact"
 	"ehdl/internal/fixed"
 )
 
@@ -22,10 +23,10 @@ func TestContentDigestStableAcrossRoundTrip(t *testing.T) {
 		t.Fatal("digest not stable on repeat calls")
 	}
 	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := m.SaveFile(path); err != nil {
+	if err := artifact.WriteFile(path, artifact.KindModel, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

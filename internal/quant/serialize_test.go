@@ -46,13 +46,29 @@ func smallModel(t *testing.T, seed int64) *Model {
 	return m
 }
 
+// loadModelFile reads a model artifact and validates the decoded
+// model — the load path cli.LoadModel gives every CLI.
+func loadModelFile(path string) (*Model, error) {
+	var m Model
+	if err := artifact.ReadFile(path, artifact.KindModel, &m); err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// TestSaveFileLoadFileRoundTrip: a model survives a trip through the
+// artifact container on disk unchanged, and re-saving it reproduces
+// the file byte for byte.
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	m := smallModel(t, 3)
 	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := m.SaveFile(path); err != nil {
+	if err := artifact.WriteFile(path, artifact.KindModel, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +78,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 
 	// Save → load → save is bit-identical on disk.
 	path2 := filepath.Join(t.TempDir(), "m2.gob")
-	if err := got.SaveFile(path2); err != nil {
+	if err := artifact.WriteFile(path2, artifact.KindModel, got); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := os.ReadFile(path)
@@ -86,7 +102,7 @@ func TestLoadFileTypedErrors(t *testing.T) {
 	m := smallModel(t, 4)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.gob")
-	if err := m.SaveFile(good); err != nil {
+	if err := artifact.WriteFile(good, artifact.KindModel, m); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -116,7 +132,7 @@ func TestLoadFileTypedErrors(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadFile(path)
+			_, err := loadModelFile(path)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
