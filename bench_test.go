@@ -307,6 +307,41 @@ func BenchmarkHostThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkCapacitorDraw measures one charged device op — 800 cycles
+// at 16 MHz drawing 300 nJ, recharging on brown-out (about one op in a
+// thousand) — per built-in profile kind. Every simulated MSP430/LEA
+// operation pays this cost, so it bounds fleet throughput.
+func BenchmarkCapacitorDraw(b *testing.B) {
+	trace, err := harvest.NewTraceProfile([]float64{0, 1, 3, 4}, []float64{0, 4e-3, 4e-3, 0}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := []struct {
+		name string
+		p    harvest.Profile
+	}{
+		{"square", harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5}},
+		{"sine", harvest.SineProfile{PeakWatts: 5e-3, Period: 0.1}},
+		{"const", harvest.ConstantProfile{Watts: 3e-3}},
+		{"trace", trace},
+	}
+	for _, pr := range profiles {
+		b.Run(pr.name, func(b *testing.B) {
+			c, err := harvest.NewCapacitor(harvest.PaperConfig(), pr.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !c.Draw(300, 5e-5) {
+					c.Recharge()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRecharge measures one full VOff→VOn recharge under weak
 // ambient sources (20–500 µW mean, sub-second to ~19 s of off-time),
 // analytic engine vs the retained Euler oracle. The closed-form path

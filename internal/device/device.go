@@ -112,6 +112,8 @@ func New(costs Costs, supply Supply) *Device {
 // Consume charges cycles and nJ to category cat, drawing from the
 // supply. It panics with PowerFailure when the supply browns out.
 // Runtimes normally use the higher-level charge helpers in charges.go.
+//
+//ehdl:hotpath
 func (d *Device) Consume(cat Category, cycles uint64, nJ float64) {
 	dt := float64(cycles) / d.Costs.ClockHz
 	if !d.supply.Draw(nJ, dt) {

@@ -8,6 +8,7 @@ package fleetd
 // byte for byte.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -302,25 +303,39 @@ func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte,
 	return rows, fleet.RenderReport(rep)
 }
 
-// waitRows polls a job's status until rows_delivered reaches want,
-// failing if the job goes terminal or the deadline passes first.
+// waitRows follows a job's row stream until want rows have arrived.
+// It fails if the stream ends first — the job finished before it could
+// be observed mid-run — or if the rows stall for a minute.
 func waitRows(t *testing.T, ts *httptest.Server, id string, want int) {
 	t.Helper()
-	deadline := time.Now().Add(time.Minute)
-	for {
-		js := getStatus(t, ts, id)
-		if js.RowsDelivered >= want {
-			return
-		}
-		if js.State.Terminal() {
-			t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run (grow the fleet)",
-				id, js.State, js.RowsDelivered, want)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck at %d rows, want %d", id, js.RowsDelivered, want)
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/rows", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET rows: %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	rows := 0
+	for rows < want && sc.Scan() {
+		rows++
+	}
+	switch {
+	case rows >= want:
+		return
+	case sc.Err() != nil:
+		t.Fatalf("job %s stuck at %d rows, want %d: %v", id, rows, want, sc.Err())
+	}
+	js := getStatus(t, ts, id)
+	t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run (grow the fleet)",
+		id, js.State, rows, want)
 }
 
 // jsonBody is a shorthand for error-payload decoding.

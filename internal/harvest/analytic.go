@@ -77,7 +77,11 @@ func (p SquareProfile) cumEnergy(t float64) float64 {
 	d := p.duty()
 	n := math.Floor(t / p.Period)
 	r := t - n*p.Period
-	return p.PeakWatts * (n*d*p.Period + math.Min(r, d*p.Period))
+	on := d * p.Period
+	if !(r >= on) { // min(r, on); a NaN r propagates
+		on = r
+	}
+	return p.PeakWatts * (n*d*p.Period + on)
 }
 
 // EnergyBetween implements Analytic.

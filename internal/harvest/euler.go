@@ -22,8 +22,8 @@ func (c *Capacitor) RechargeEuler(step, horizon float64) (float64, bool) {
 		if c.energyJ < 0 {
 			c.energyJ = 0
 		}
-		if vmax := c.energyAt(c.cfg.VMax); c.energyJ > vmax {
-			c.energyJ = vmax
+		if c.energyJ > c.maxJ {
+			c.energyJ = c.maxJ
 		}
 		c.cycleHarvestJ += p * step
 		c.nowSec += step

@@ -18,6 +18,18 @@
 // rather than a wall-clock search horizon. The seed's fixed-step Euler
 // integrator is retained as RechargeEuler, the oracle the analytic
 // engine is validated against.
+//
+// On-time accounting (Draw, once per charged device op) carries the
+// harvest integral from one call to the next. Each built-in profile's
+// EnergyBetween(t0, t1) is cumEnergy(t1) − cumEnergy(t0), and a draw
+// starts exactly where the previous one ended: the phase accumulator
+// advances as phase+dt (math.Mod returns its argument unchanged below
+// the period) and absolute time as nowSec+dt, so the next t0 has the
+// very bits of this t1. The capacitor keeps one (t, cumEnergy(t)) pair
+// keyed on those bits. cumEnergy is a pure function of t on an
+// immutable profile, so a hit returns what a fresh evaluation would
+// and the memo never needs invalidating: a draw costs one closed-form
+// evaluation instead of two, with every result unchanged to the bit.
 package harvest
 
 import (
@@ -97,9 +109,16 @@ func (p SquareProfile) Validate() error {
 }
 
 // duty returns the duty cycle clamped to [0, 1] (unvalidated literals
-// may carry anything).
+// may carry anything; NaN stays NaN).
 func (p SquareProfile) duty() float64 {
-	return math.Min(1, math.Max(0, p.Duty))
+	switch d := p.Duty; {
+	case d <= 0:
+		return 0
+	case d > 1:
+		return 1
+	default:
+		return d
+	}
 }
 
 // PowerAt returns PeakWatts during the on-phase of each period.
@@ -183,12 +202,30 @@ const (
 	modePeriodic
 )
 
+// cumulative is implemented by the built-in profiles whose
+// EnergyBetween(t0, t1) is, expression for expression,
+// cumEnergy(t1) − cumEnergy(t0) with cumEnergy a pure function of t.
+// Draw evaluates it through the capacitor's one-entry memo.
+type cumulative interface {
+	cumEnergy(t float64) float64
+}
+
 // Capacitor is the energy store. It implements device.Supply.
 // Starting full (at VOn) is the conventional t=0 state: the device
 // boots the moment the experiment begins.
 type Capacitor struct {
-	cfg     Config
-	profile Profile
+	cfg      Config
+	profile  Profile
+	analytic Analytic   // profile as Analytic, nil if it has no closed form
+	cum      cumulative // profile as cumulative, nil if it is not a built-in
+
+	floorJ float64 // ½C·VOff², the brown-out level
+	maxJ   float64 // ½C·VMax², the regulator clamp
+
+	// cumBits/cumJ memoise cumEnergy at the end of the last draw's
+	// window: the next draw starts at that same time, bit for bit.
+	cumBits uint64
+	cumJ    float64
 
 	mode   integrationMode
 	period float64 // profile period (modePeriodic only)
@@ -227,7 +264,17 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 		profile: profile,
 		energyJ: 0.5 * cfg.CapacitanceF * cfg.VOn * cfg.VOn,
 	}
+	c.floorJ = c.energyAt(cfg.VOff)
+	c.maxJ = c.energyAt(cfg.VMax)
+	switch profile.(type) {
+	case SquareProfile, SineProfile, *TraceProfile:
+		// Only the built-ins: a custom type embedding one may override
+		// EnergyBetween, and then cumEnergy no longer describes it.
+		c.cum = profile.(cumulative)
+		c.cumJ = c.cum.cumEnergy(0)
+	}
 	if ap, ok := profile.(Analytic); ok {
+		c.analytic = ap
 		switch pp, periodic := ap.(Periodic); {
 		case periodic && pp.ProfilePeriod() > 0:
 			c.mode = modePeriodic
@@ -304,15 +351,16 @@ func (c *Capacitor) EnergyJ() float64 { return c.energyJ }
 // while harvesting in parallel. Returns false when the voltage falls
 // below VOff, leaving the store at the brown-out level (the charge
 // below VOff is unusable but still present).
+//
+//ehdl:hotpath
 func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 	c.integrateHarvest(dt)
 	c.nowSec += dt
 	need := nJ * 1e-9
-	floor := c.energyAt(c.cfg.VOff)
-	if c.energyJ-need < floor {
+	if c.energyJ-need < c.floorJ {
 		// Operation could not complete: clamp at the floor; the
 		// device browns out.
-		c.energyJ = floor
+		c.energyJ = c.floorJ
 		return false
 	}
 	c.energyJ -= need
@@ -328,8 +376,8 @@ func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 // horizon, which can misreport a slow-but-charging custom source as
 // dead; implement Analytic to avoid that.
 func (c *Capacitor) Recharge() (float64, bool) {
-	if ap, ok := c.profile.(Analytic); ok {
-		return c.rechargeAnalytic(ap)
+	if c.analytic != nil {
+		return c.rechargeAnalytic(c.analytic)
 	}
 	return c.RechargeEuler(eulerStep, eulerHorizon)
 }
@@ -339,6 +387,8 @@ func (c *Capacitor) Recharge() (float64, bool) {
 // the phase accumulator for periodic profiles and on zero for constant
 // ones, so the arithmetic does not depend on absolute simulated age —
 // in a single power-at-window-start step otherwise.
+//
+//ehdl:hotpath
 func (c *Capacitor) integrateHarvest(dt float64) {
 	if dt <= 0 {
 		return
@@ -346,14 +396,18 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 	var gross float64
 	switch c.mode {
 	case modePeriodic:
-		ap := c.profile.(Analytic)
-		gross = ap.EnergyBetween(c.phase, c.phase+dt)
-		c.phase = math.Mod(c.phase+dt, c.period)
+		t1 := c.phase + dt
+		gross = c.energyBetween(c.phase, t1)
+		if t1 < c.period {
+			c.phase = t1 // what math.Mod returns for 0 <= t1 < period
+		} else {
+			c.phase = math.Mod(t1, c.period)
+		}
 	case modeConstant:
-		gross = c.profile.(Analytic).EnergyBetween(0, dt)
+		gross = c.analytic.EnergyBetween(0, dt)
 	default:
-		if ap, ok := c.profile.(Analytic); ok {
-			gross = ap.EnergyBetween(c.nowSec, c.nowSec+dt)
+		if c.analytic != nil {
+			gross = c.energyBetween(c.nowSec, c.nowSec+dt)
 		} else {
 			gross = c.profile.PowerAt(c.nowSec) * dt
 		}
@@ -362,10 +416,29 @@ func (c *Capacitor) integrateHarvest(dt float64) {
 	if c.energyJ < 0 {
 		c.energyJ = 0
 	}
-	if vmax := c.energyAt(c.cfg.VMax); c.energyJ > vmax {
-		c.energyJ = vmax
+	if c.energyJ > c.maxJ {
+		c.energyJ = c.maxJ
 	}
 	c.cycleHarvestJ += gross
+}
+
+// energyBetween is the profile's EnergyBetween(t0, t1) for an Analytic
+// profile. For the built-ins it evaluates cumEnergy(t1) −
+// cumEnergy(t0) like EnergyBetween does, taking cumEnergy(t0) from the
+// memo when t0 is, bit for bit, the previous window's end.
+//
+//ehdl:hotpath
+func (c *Capacitor) energyBetween(t0, t1 float64) float64 {
+	if c.cum == nil {
+		return c.analytic.EnergyBetween(t0, t1)
+	}
+	c0 := c.cumJ
+	if math.Float64bits(t0) != c.cumBits {
+		c0 = c.cum.cumEnergy(t0)
+	}
+	c1 := c.cum.cumEnergy(t1)
+	c.cumBits, c.cumJ = math.Float64bits(t1), c1
+	return c1 - c0
 }
 
 // UsableEnergyJ returns the energy budget of one full charge cycle,
@@ -398,11 +471,10 @@ func (c *Capacitor) BootsToComplete(totalJ float64) uint64 {
 // power — and false when the mean power cannot beat the leakage (the
 // store never recharges) or the profile has no analytic mean.
 func (c *Capacitor) SteadyOffSeconds() (float64, bool) {
-	ap, ok := c.profile.(Analytic)
-	if !ok {
+	if c.analytic == nil {
 		return 0, false
 	}
-	net := ap.MeanPower() - c.cfg.LeakageW
+	net := c.analytic.MeanPower() - c.cfg.LeakageW
 	if net <= 0 {
 		return 0, false
 	}

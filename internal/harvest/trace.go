@@ -215,7 +215,11 @@ func (p *TraceProfile) localPower(r float64) float64 {
 	if i < len(p.times) && p.times[i] == r {
 		return p.watts[i]
 	}
-	i-- // r strictly inside segment (i, i+1); i >= 0 since times[0]=0
+	return p.segPower(i-1, r) // i >= 1 since times[0]=0
+}
+
+// segPower interpolates segment (i, i+1) at r strictly inside it.
+func (p *TraceProfile) segPower(i int, r float64) float64 {
 	f := (r - p.times[i]) / (p.times[i+1] - p.times[i])
 	return p.watts[i] + (p.watts[i+1]-p.watts[i])*f
 }
@@ -228,7 +232,7 @@ func (p *TraceProfile) localCum(r float64) float64 {
 	}
 	i--
 	dt := r - p.times[i]
-	return p.cum[i] + 0.5*(p.watts[i]+p.localPower(r))*dt
+	return p.cum[i] + 0.5*(p.watts[i]+p.segPower(i, r))*dt
 }
 
 // PowerAt implements Profile.
