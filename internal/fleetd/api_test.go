@@ -8,13 +8,18 @@ package fleetd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ehdl/internal/cli"
+	"ehdl/internal/fleet"
 )
 
 func TestAPIErrorContract(t *testing.T) {
@@ -80,7 +85,7 @@ func TestAPIErrorContract(t *testing.T) {
 // return their typed conflict.
 func TestCancelLifecycleConflicts(t *testing.T) {
 	base := writeFixtures(t)
-	srv, ts := startServer(t, t.TempDir(), Config{BaseDir: base, Pool: 1})
+	srv, ts := startServer(t, t.TempDir(), Config{BaseDir: base, Pool: 1}, parkAt(64))
 
 	// A small job runs to done; cancelling it then is a conflict.
 	done := postJob(t, ts, jobBody(t, scenarioDoc, map[string]any{"seed": 1, "devices": 3}))
@@ -92,10 +97,11 @@ func TestCancelLifecycleConflicts(t *testing.T) {
 		t.Fatalf("cancel after done: %d %q, want 409 %q", status, eb.Code, CodeJobFinished)
 	}
 
-	// A long single-worker job exercises the real cancel path: DELETE
-	// while it runs, then watch it reach cancelled at its frontier.
+	// A single-worker job parked at row 64 exercises the real cancel
+	// path: DELETE while it runs, then watch it reach cancelled at its
+	// frontier.
 	long := postJob(t, ts, jobBody(t, scenarioDoc, map[string]any{
-		"seed": 2, "devices": 3000, "workers": 1, "chunk_size": 64,
+		"seed": 2, "devices": 400, "workers": 1, "chunk_size": 64,
 	}))
 	waitRows(t, ts, long.ID, 64)
 
@@ -224,4 +230,62 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("accepted envelope with negative knobs: %+v (%q)", req, body)
 		}
 	})
+}
+
+// TestRowsFollowPastClosedSink: a row reader whose flush loses the
+// race with the run closing its sink ("file already closed") keeps
+// following instead of ending the stream, and delivers every row once
+// the job turns terminal. The race window is staged — a running job
+// whose sink is closed but still attached — and the test advances it
+// by the stream's own bytes and the job's state event, not by timing.
+func TestRowsFollowPastClosedSink(t *testing.T) {
+	srv, ts := startServer(t, t.TempDir(), Config{BaseDir: writeFixtures(t)})
+	j := newJob("j900002", t.TempDir(), jobMeta{ID: "j900002", Kind: kindSweep, State: StateRunning})
+	sink, err := fleet.NewNDJSONFile(j.rowsPath(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := sink.Consume(i, fleet.Result{Name: fmt.Sprintf("d%d", i), Predicted: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Flush() == nil {
+		t.Fatal("flushing the closed sink succeeded: the race is not staged")
+	}
+	want, err := os.ReadFile(j.rowsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	j.mu.Lock()
+	j.sink = sink
+	j.mu.Unlock()
+	srv.jobs[j.id] = j
+	srv.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+j.id+"/rows", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got := make([]byte, len(want))
+	if n, err := io.ReadFull(resp.Body, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rows while running: %q (%v), want %q", got[:n], err, want)
+	}
+	if err := j.setState(StateDone, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(resp.Body); err != nil || len(rest) != 0 {
+		t.Fatalf("after done: %q (%v), want the stream to end", rest, err)
+	}
 }

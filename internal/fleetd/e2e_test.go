@@ -117,13 +117,14 @@ func TestRestartResumesInFlightJobToIdenticalBytes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{BaseDir: base, Pool: 1}
 
-	srv1, ts1 := startServer(t, dir, cfg)
-	const devices = 4000
+	srv1, ts1 := startServer(t, dir, cfg, parkAt(256))
+	const devices = 600
 	js := postJob(t, ts1, jobBody(t, scenarioDoc, map[string]any{
 		"seed": 2, "devices": devices, "workers": 1, "chunk_size": 32, "checkpoint_every": 64,
 	}))
 
-	// Let it get well into the fleet, then kill the daemon.
+	// Let it get well into the fleet — it parks at row 256 until the
+	// drain cancels it — then kill the daemon.
 	waitRows(t, ts1, js.ID, 256)
 	srv1.Drain()
 	ts1.Close()
@@ -134,7 +135,7 @@ func TestRestartResumesInFlightJobToIdenticalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if meta.State != StateQueued {
-		t.Fatalf("drained mid-job state = %s, want queued (the job outran the drain; grow the fleet)", meta.State)
+		t.Fatalf("drained mid-job state = %s, want queued", meta.State)
 	}
 	ck, err := fleet.LoadCheckpoint(filepath.Join(jobDir, fleet.ShardMetaFile))
 	if err != nil {

@@ -92,6 +92,12 @@ type Server struct {
 	memo      *memo.Memo
 	artifacts *cli.ArtifactCache
 
+	// rowHook, when set (by tests, before any job is submitted), runs
+	// after every row a job delivers, with the run's context and the
+	// job's delivered-row count. A hook that blocks holds the run at
+	// that row.
+	rowHook func(ctx context.Context, j *Job, rows int)
+
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	nextID   int
@@ -394,8 +400,12 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 		Sink: fleet.MultiSink(sink, fleet.SinkFunc(func(i int, r fleet.Result) error {
 			j.mu.Lock()
 			j.rows++
+			rows := j.rows
 			j.bump()
 			j.mu.Unlock()
+			if s.rowHook != nil {
+				s.rowHook(ctx, j, rows)
+			}
 			return nil
 		})),
 		Progress: func(done, total int) {
@@ -414,10 +424,12 @@ func (s *Server) executeJob(j *Job, ctx context.Context) error {
 	}
 
 	rep, runErr := fleet.RunStream(src, opts)
-	closeErr := sink.Close()
+	// Detach the sink before closing it, so no row reader flushes a
+	// closed file; Close flushes every row the run delivered.
 	j.mu.Lock()
 	j.sink = nil
 	j.mu.Unlock()
+	closeErr := sink.Close()
 	if runErr != nil {
 		return runErr
 	}

@@ -98,8 +98,10 @@ func writeFixtures(t *testing.T) string {
 
 // startServer builds a Server over dir and serves its Handler. The
 // clock defaults to frozen so nothing in the output bytes depends on
-// the host. Cleanup closes the listener, then drains.
-func startServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
+// the host. Each setup runs on the Server before it serves (a row
+// hook set there is in place before any request can start a run).
+// Cleanup closes the listener, then drains.
+func startServer(t *testing.T, dir string, cfg Config, setup ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg.Dir = dir
 	if cfg.Clock == nil {
@@ -108,6 +110,9 @@ func startServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Serve
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(srv)
 	}
 	t.Cleanup(srv.Drain)
 	ts := httptest.NewServer(srv.Handler())
@@ -184,6 +189,26 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
 // the final state, verifying every event decodes.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) State {
 	t.Helper()
+	last := followEvents(t, ts, id, "")
+	if !last.Terminal() {
+		t.Fatalf("event stream ended before a terminal state (last %q)", last)
+	}
+	return last
+}
+
+// waitState follows a job's event stream until it reports state want.
+func waitState(t *testing.T, ts *httptest.Server, id string, want State) {
+	t.Helper()
+	if last := followEvents(t, ts, id, want); last != want {
+		t.Fatalf("job %s event stream ended at %q before reporting %q", id, last, want)
+	}
+}
+
+// followEvents reads a job's event stream, verifying every event
+// decodes, until the stream ends or (when stop is set) a state event
+// reports stop, and returns the last state seen.
+func followEvents(t *testing.T, ts *httptest.Server, id string, stop State) State {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
@@ -211,6 +236,9 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) State {
 		switch ev.Type {
 		case "state":
 			last = ev.State
+			if stop != "" && last == stop {
+				return last
+			}
 		case "progress":
 			if ev.Progress == nil || ev.Progress.Total <= 0 {
 				t.Fatalf("malformed progress event: %+v", ev)
@@ -218,9 +246,6 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) State {
 		default:
 			t.Fatalf("unknown event type %q", ev.Type)
 		}
-	}
-	if !last.Terminal() {
-		t.Fatalf("event stream ended before a terminal state (last %q)", last)
 	}
 	return last
 }
@@ -303,6 +328,20 @@ func referenceRun(t *testing.T, baseDir, scenario string, o refOptions) ([]byte,
 	return rows, fleet.RenderReport(rep)
 }
 
+// parkAt is a startServer setup that holds every run at its want-th
+// delivered row until the run is cancelled (a DELETE or a drain), so a
+// test sees a job mid-run at a known row count however fast the
+// simulation runs.
+func parkAt(want int) func(*Server) {
+	return func(srv *Server) {
+		srv.rowHook = func(ctx context.Context, j *Job, rows int) {
+			if rows == want {
+				<-ctx.Done()
+			}
+		}
+	}
+}
+
 // waitRows follows a job's row stream until want rows have arrived.
 // It fails if the stream ends first — the job finished before it could
 // be observed mid-run — or if the rows stall for a minute.
@@ -334,7 +373,7 @@ func waitRows(t *testing.T, ts *httptest.Server, id string, want int) {
 		t.Fatalf("job %s stuck at %d rows, want %d: %v", id, rows, want, sc.Err())
 	}
 	js := getStatus(t, ts, id)
-	t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run (grow the fleet)",
+	t.Fatalf("job %s reached %s with %d rows, wanted to observe %d mid-run (park it with parkAt)",
 		id, js.State, rows, want)
 }
 

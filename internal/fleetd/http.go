@@ -421,13 +421,17 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	var off int64
+	buf := make([]byte, 1<<20)
 	for {
 		ch := j.changed()
 		meta, _ := j.snapshot()
-		if err := j.flushRows(); err != nil {
-			return // the run itself is failing; its state event reports why
-		}
-		n, err := copyNewRows(w, j.rowsPath(), &off)
+		// A flush that loses the race with the run closing its sink
+		// fails ("file already closed"), but Close flushes every row
+		// and the job turns terminal only after it, so keep following:
+		// the terminal pass copies the tail. Any other flush failure
+		// fails the run, which ends the stream the same way.
+		_ = j.flushRows()
+		n, err := copyNewRows(w, j.rowsPath(), &off, buf)
 		if err != nil {
 			return
 		}
@@ -446,10 +450,10 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 }
 
 // copyNewRows streams complete NDJSON lines appearing after *off into
-// w, advancing *off past what it wrote. A trailing partial line (the
-// row file's writer buffers through bufio, which can flush mid-line)
-// stays unread until its newline lands.
-func copyNewRows(w io.Writer, path string, off *int64) (written int64, err error) {
+// w through buf, advancing *off past what it wrote. A trailing partial
+// line (the row file's writer buffers through bufio, which can flush
+// mid-line) stays unread until its newline lands.
+func copyNewRows(w io.Writer, path string, off *int64, buf []byte) (written int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil // the run has not opened its row file yet
@@ -463,7 +467,6 @@ func copyNewRows(w io.Writer, path string, off *int64) (written int64, err error
 		return 0, fmt.Errorf("fleetd: %w", err)
 	}
 	size := fi.Size()
-	buf := make([]byte, 1<<20)
 	for *off < size {
 		n := size - *off
 		if n > int64(len(buf)) {

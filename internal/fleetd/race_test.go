@@ -10,16 +10,28 @@ package fleetd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 	base := writeFixtures(t)
-	srv, ts := startServer(t, t.TempDir(), Config{BaseDir: base, Pool: 4, MaxActive: 4})
+	// Every run holds at its first row until the watcher below has seen
+	// all of them start, so no job can finish before the others begin.
+	release := make(chan struct{})
+	srv, ts := startServer(t, t.TempDir(), Config{BaseDir: base, Pool: 4, MaxActive: 4}, func(s *Server) {
+		s.rowHook = func(ctx context.Context, j *Job, rows int) {
+			if rows == 1 {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+		}
+	})
 
 	// Two memo-off jobs with distinct seeds (seed isolation), plus two
 	// identical memoized jobs that exercise the shared process-wide
@@ -50,42 +62,28 @@ func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Watch the scheduler while the jobs run: with MaxActive 4 and
-	// four long jobs, at least three must be active at once.
-	maxActive := 0
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		for {
-			var m Metrics
-			status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
-			if status != http.StatusOK || json.Unmarshal(data, &m) != nil {
-				return
-			}
-			if m.Active > maxActive {
-				maxActive = m.Active
-			}
-			done := 0
-			for _, id := range ids {
-				if getStatus(t, ts, id).State.Terminal() {
-					done++
-				}
-			}
-			if done == len(ids) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
+	// Watch the scheduler from the jobs' event streams: once every job
+	// has reported running (none can finish while held at its first
+	// row), the daemon must count them active at once.
+	for _, id := range ids {
+		waitState(t, ts, id, StateRunning)
+	}
+	var m Metrics
+	status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d %s", status, data)
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if m.Active < 3 {
+		t.Errorf("%d simultaneously active jobs with all four started, want >= 3 on the shared pool", m.Active)
+	}
 	for i, id := range ids {
 		if st := waitTerminal(t, ts, id); st != StateDone {
 			t.Fatalf("job %d (%s) finished %s, want done", i, id, st)
 		}
-	}
-	<-watchDone
-	if maxActive < 3 {
-		t.Errorf("observed at most %d simultaneously active jobs, want >= 3 on the shared pool", maxActive)
 	}
 
 	// Every job's rows match its solo reference (memo never changes
@@ -120,8 +118,8 @@ func TestConcurrentJobsSharedPoolDeterministic(t *testing.T) {
 	// Shared-cache bookkeeping: the identical jobs must have hit the
 	// process-wide memo, every job the shared artifact cache, and the
 	// drained pool must have released every slot.
-	var m Metrics
-	status, data := apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
+	m = Metrics{}
+	status, data = apiCall(t, ts, http.MethodGet, "/v1/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/metrics: %d %s", status, data)
 	}

@@ -361,7 +361,8 @@ func TestProfileArithmeticMatchesSeedForm(t *testing.T) {
 }
 
 // TestDrawZeroAlloc keeps the per-op supply charge allocation-free for
-// every built-in profile kind.
+// every built-in profile kind: batched, and settled by the Voltage read
+// that follows it.
 func TestDrawZeroAlloc(t *testing.T) {
 	for _, d := range drawProfiles(t) {
 		c, err := NewCapacitor(d.cfg, d.p)
@@ -371,5 +372,128 @@ func TestDrawZeroAlloc(t *testing.T) {
 		if a := testing.AllocsPerRun(1000, func() { c.Draw(300, 5e-5) }); a != 0 {
 			t.Errorf("%s: Draw allocates %v times per call", d.name, a)
 		}
+		if c.pendOps == 0 {
+			t.Errorf("%s: unobserved draws were not batched", d.name)
+		}
+		if a := testing.AllocsPerRun(1000, func() { c.Draw(300, 5e-5); c.Voltage() }); a != 0 {
+			t.Errorf("%s: observed Draw allocates %v times per call", d.name, a)
+		}
 	}
+}
+
+// lazyBoundJ is the stored-energy (and harvest meter) tolerance of
+// TestLazyDrawMatchesPerOp: an unobserved batch sums E and the meter
+// in a different order from the per-op step, so the two may part by a
+// few ulps per draw since the last recharge — orders of magnitude
+// below this picojoule, which is itself ~3e-9 of the paper's usable
+// 0.38 mJ charge.
+const lazyBoundJ = 1e-12
+
+// TestLazyDrawMatchesPerOp is the property test for lazy settlement:
+// random streams that nobody observes op by op drive a capacitor and a
+// twin drawing through oracleDraw, the per-op step. The streams add,
+// to nextOp's mix of short draws, idle stretches into the VMax clamp,
+// brown-outs and period-edge and period-spanning draws, zero-dt draws,
+// a Voltage read every 61 ops (a FLEX-like monitor) and, at states the
+// two share bit for bit, a draw of exactly the energy left above VOff;
+// recharges follow brown-outs only, as in the intermittent runner.
+// Every draw must succeed or brown out on both, the clock and phase
+// must agree to the bit after every op, and at every read the stored
+// energy and harvest meter must agree within lazyBoundJ.
+func TestLazyDrawMatchesPerOp(t *testing.T) {
+	var batched, draws int
+	var worst float64
+	for _, d := range drawProfiles(t) {
+		for seed := uint64(1); seed <= 6; seed++ {
+			c, err := NewCapacitor(d.cfg, d.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, _ := NewCapacitor(d.cfg, d.p)
+			r := &opRand{s: seed}
+			browned := false
+			sinceRecharge := 0 // draws since the last recharge
+			for i := 0; i < 20000; i++ {
+				op := nextOp(r, c, browned)
+				if op.kind == opRecharge && !browned {
+					// Recharges follow brown-outs, as in the runner:
+					// from anywhere else they would start from the
+					// two stores' differently rounded energies.
+					op = drawOp{kind: opDraw, dt: 0.05 * r.float()}
+				}
+				if op.kind == opDraw {
+					switch n := r.intn(40); {
+					case n == 0:
+						op.dt = 0
+					case n < 20 && sinceRecharge == 1:
+						// The batch is open with nothing pending, at the
+						// twin's very state: drain it to VOff exactly.
+						op = drawOp{kind: opDraw, nJ: drainNJ(twin.energyJ - twin.floorJ)}
+					}
+				}
+				pending := c.pendOps
+				ok, off := applyOp(c, op, (*Capacitor).Draw)
+				tok, toff := applyOp(twin, op, oracleDraw)
+				if ok != tok || math.Float64bits(off) != math.Float64bits(toff) {
+					t.Fatalf("%s seed %d op %d %+v: result (%v, %v), per-op (%v, %v)", d.name, seed, i, op, ok, off, tok, toff)
+				}
+				if c.Now() != twin.Now() || math.Float64bits(c.phase) != math.Float64bits(twin.phase) {
+					t.Fatalf("%s seed %d op %d %+v: now/phase %v/%v, per-op %v/%v", d.name, seed, i, op, c.Now(), c.phase, twin.Now(), twin.phase)
+				}
+				switch op.kind {
+				case opDraw:
+					draws++
+					if c.pendOps == pending+1 {
+						batched++
+					}
+					sinceRecharge++
+				case opRecharge:
+					sinceRecharge = 0
+				}
+				browned = op.kind == opDraw && !ok
+				if i%61 == 0 || i == 19999 {
+					c.Voltage()
+					worst = math.Max(worst, lazyGap(t, d.name, c, twin))
+				}
+			}
+		}
+	}
+	if batched < draws/2 {
+		t.Errorf("only %d of %d draws were batched", batched, draws)
+	}
+	t.Logf("%d of %d draws batched; worst energy/meter gap %.3g J", batched, draws, worst)
+}
+
+// drainNJ returns nJ such that the draw's need, nJ·1e-9, is exactly
+// roomJ when some float64 nJ makes it so, and the nearest otherwise.
+func drainNJ(roomJ float64) float64 {
+	nJ := roomJ / 1e-9
+	lo, hi := nJ, nJ
+	for i := 0; i < 4; i++ {
+		if lo*1e-9 == roomJ {
+			return lo
+		}
+		if hi*1e-9 == roomJ {
+			return hi
+		}
+		lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+	}
+	return nJ
+}
+
+// lazyGap checks that c and its per-op twin agree at an observation:
+// token phase bits exactly, stored energy and harvest meter within
+// lazyBoundJ. It returns the larger of the two gaps.
+func lazyGap(t *testing.T, name string, c, twin *Capacitor) float64 {
+	t.Helper()
+	tok, ok := c.CycleToken()
+	ttok, tok2 := twin.CycleToken()
+	if ok != tok2 || tok.PhaseBits != ttok.PhaseBits {
+		t.Fatalf("%s: token %+v (%v), per-op %+v (%v)", name, tok, ok, ttok, tok2)
+	}
+	gap := math.Max(math.Abs(c.EnergyJ()-twin.EnergyJ()), math.Abs(c.HarvestedJ()-twin.HarvestedJ()))
+	if !(gap <= lazyBoundJ) {
+		t.Fatalf("%s: energy %v / meter %v, per-op %v / %v", name, c.EnergyJ(), c.HarvestedJ(), twin.EnergyJ(), twin.HarvestedJ())
+	}
+	return gap
 }

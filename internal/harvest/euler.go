@@ -13,6 +13,7 @@ package harvest
 // advances the capacitor's clock, stored energy and harvest meter;
 // hitting the horizon leaves whatever partial progress was integrated.
 func (c *Capacitor) RechargeEuler(step, horizon float64) (float64, bool) {
+	c.closeBatch()
 	target := c.energyAt(c.cfg.VOn)
 	leak := c.cfg.LeakageW
 	var off float64

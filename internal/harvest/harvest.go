@@ -30,6 +30,27 @@
 // immutable profile, so a hit returns what a fresh evaluation would
 // and the memo never needs invalidating: a draw costs one closed-form
 // evaluation instead of two, with every result unchanged to the bit.
+//
+// Draw also settles harvest lazily. Under a built-in profile, draws
+// nobody observes in between are admitted into a batch: each advances
+// the clock and phase exactly as the per-op step would and adds its
+// need and duration to two pending sums, and one EnergyBetween over
+// the batch's window settles them all. A batch admits a draw only
+// while bounds taken when it opened prove the per-op step could not
+// act on it: the pending need plus leak·Σdt stays within the energy
+// above VOff, the profile's peak power times Σdt stays within the
+// headroom below VMax, and the phase does not wrap, each with a margin
+// that covers the rounding of up to maxBatchOps draws. Harvest never
+// lowers the store, so no admitted draw could brown out, and the peak
+// bound keeps the VMax clamp from firing. A draw that does not fit
+// settles the batch, takes the exact per-op step — where every
+// brown-out, clamp and wrap happens — and opens a new batch. Every
+// observer (Voltage, EnergyJ, HarvestedJ, CycleToken, Recharge,
+// RechargeEuler, SkipSteadyCycles) settles first, and settling one
+// draw is the per-op arithmetic to the bit, so a caller that observes
+// after every draw sees exactly the per-op states; an unobserved
+// stretch differs from them only in the summation order of the stored
+// energy and the harvest meter.
 package harvest
 
 import (
@@ -231,8 +252,19 @@ type Capacitor struct {
 	period float64 // profile period (modePeriodic only)
 	phase  float64 // profile phase in [0, period) (modePeriodic only)
 
-	energyJ float64 // current stored energy
+	energyJ float64 // stored energy, without the batch's pending draws
 	nowSec  float64 // absolute simulation time (active + off)
+
+	// The batch of admitted draws (see the package comment). peakW is
+	// the profile's peak power, negative when the profile is not a
+	// built-in and every draw takes the per-op step.
+	peakW    float64
+	batchT0  float64 // anchor time the batch opened at
+	pendNeed float64 // Σ need of the admitted draws, joules
+	pendDt   float64 // Σ dt of the admitted draws, seconds
+	pendOps  int     // draws the batch admitted
+	needRoom float64 // bound on pendNeed + leak·pendDt; -1 when closed
+	headroom float64 // bound on peakW·pendDt (VMax clamp)
 
 	harvestedJ    float64 // harvested energy folded at each recharge
 	cycleHarvestJ float64 // harvested energy of the cycle in progress
@@ -260,17 +292,28 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 		}
 	}
 	c := &Capacitor{
-		cfg:     cfg,
-		profile: profile,
-		energyJ: 0.5 * cfg.CapacitanceF * cfg.VOn * cfg.VOn,
+		cfg:      cfg,
+		profile:  profile,
+		energyJ:  0.5 * cfg.CapacitanceF * cfg.VOn * cfg.VOn,
+		needRoom: -1,
 	}
 	c.floorJ = c.energyAt(cfg.VOff)
 	c.maxJ = c.energyAt(cfg.VMax)
-	switch profile.(type) {
-	case SquareProfile, SineProfile, *TraceProfile:
-		// Only the built-ins: a custom type embedding one may override
-		// EnergyBetween, and then cumEnergy no longer describes it.
-		c.cum = profile.(cumulative)
+	// Only the built-ins: a custom type embedding one may override
+	// EnergyBetween, and then neither cumEnergy nor the peak power
+	// describes it.
+	c.peakW = -1
+	switch p := profile.(type) {
+	case ConstantProfile:
+		c.peakW = p.Watts
+	case SquareProfile:
+		c.peakW, c.cum = p.PeakWatts, p
+	case SineProfile:
+		c.peakW, c.cum = p.PeakWatts, p
+	case *TraceProfile:
+		c.peakW, c.cum = p.peakPower(), p
+	}
+	if c.cum != nil {
 		c.cumJ = c.cum.cumEnergy(0)
 	}
 	if ap, ok := profile.(Analytic); ok {
@@ -283,6 +326,7 @@ func NewCapacitor(cfg Config, profile Profile) (*Capacitor, error) {
 			c.mode = modeConstant
 		}
 	}
+	c.open()
 	return c, nil
 }
 
@@ -292,6 +336,7 @@ func (c *Capacitor) energyAt(v float64) float64 {
 
 // Voltage returns the current capacitor voltage.
 func (c *Capacitor) Voltage() float64 {
+	c.settle()
 	return math.Sqrt(2 * c.energyJ / c.cfg.CapacitanceF)
 }
 
@@ -302,7 +347,10 @@ func (c *Capacitor) Now() float64 { return c.nowSec }
 
 // HarvestedJ returns the lifetime harvested energy in joules (gross:
 // energy wasted to the VMax clamp or lost to leakage is included).
-func (c *Capacitor) HarvestedJ() float64 { return c.harvestedJ + c.cycleHarvestJ }
+func (c *Capacitor) HarvestedJ() float64 {
+	c.settle()
+	return c.harvestedJ + c.cycleHarvestJ
+}
 
 // CycleHarvestJ returns the gross energy harvested over the most
 // recent full boot cycle (discharge plus the recharge that ended it) —
@@ -325,6 +373,7 @@ func (c *Capacitor) CycleToken() (CycleToken, bool) {
 	if c.mode == modeAbsolute {
 		return CycleToken{}, false
 	}
+	c.settle()
 	return CycleToken{
 		EnergyBits: math.Float64bits(c.energyJ),
 		PhaseBits:  math.Float64bits(c.phase),
@@ -338,6 +387,7 @@ func (c *Capacitor) CycleToken() (CycleToken, bool) {
 // per-cycle delta cycleJ fold by fold (bit-identical to k real
 // cycles), and the diagnostic clock advances by k·wallSec.
 func (c *Capacitor) SkipSteadyCycles(k uint64, wallSec, cycleJ float64) {
+	c.closeBatch()
 	for i := uint64(0); i < k; i++ {
 		c.harvestedJ += cycleJ
 	}
@@ -345,18 +395,50 @@ func (c *Capacitor) SkipSteadyCycles(k uint64, wallSec, cycleJ float64) {
 }
 
 // EnergyJ returns the currently stored energy in joules.
-func (c *Capacitor) EnergyJ() float64 { return c.energyJ }
+func (c *Capacitor) EnergyJ() float64 {
+	c.settle()
+	return c.energyJ
+}
 
 // Draw implements device.Supply: consume nJ nanojoules over dt seconds
 // while harvesting in parallel. Returns false when the voltage falls
 // below VOff, leaving the store at the brown-out level (the charge
 // below VOff is unusable but still present).
 //
+// A draw the open batch's bounds prove safe is only added to the
+// pending sums, the clock and phase advancing as the per-op step would
+// advance them; every comparison fails on NaN. Any other draw settles
+// the batch, takes the exact per-op step and opens a new batch at the
+// state it leaves.
+//
 //ehdl:hotpath
 func (c *Capacitor) Draw(nJ float64, dt float64) bool {
-	c.integrateHarvest(dt)
-	c.nowSec += dt
 	need := nJ * 1e-9
+	n, s, t1 := c.pendNeed+need, c.pendDt+dt, c.phase+dt
+	if need >= 0 && dt >= 0 && n+c.cfg.LeakageW*s <= c.needRoom && c.peakW*s <= c.headroom &&
+		(t1 < c.period || c.mode != modePeriodic) && c.pendOps < maxBatchOps {
+		if c.mode == modePeriodic {
+			c.phase = t1
+		}
+		c.nowSec += dt
+		c.pendNeed, c.pendDt = n, s
+		c.pendOps++
+		return true
+	}
+	c.closeBatch()
+	if !(dt <= 0) {
+		t0 := c.rechargeAnchor()
+		t1 = t0 + dt
+		c.accrue(t0, t1, dt)
+		if c.mode == modePeriodic {
+			if t1 < c.period {
+				c.phase = t1 // what math.Mod returns for 0 <= t1 < period
+			} else {
+				c.phase = math.Mod(t1, c.period)
+			}
+		}
+	}
+	c.nowSec += dt
 	if c.energyJ-need < c.floorJ {
 		// Operation could not complete: clamp at the floor; the
 		// device browns out.
@@ -364,7 +446,71 @@ func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 		return false
 	}
 	c.energyJ -= need
+	c.open()
 	return true
+}
+
+// maxBatchOps caps the draws one batch admits, so the rounding of its
+// per-op twin stays far inside the batch margin.
+const maxBatchOps = 1 << 16
+
+// open starts a batch at the current, settled state, unless the store
+// is too close to VOff or VMax for it to admit anything. The margin is
+// 2^-30 of the largest magnitude the batch's arithmetic touches —
+// stored energy, the headroom harvest may fill, and the profile
+// integral at the anchor — which bounds the rounding of maxBatchOps
+// per-op steps with room to spare.
+//
+//ehdl:hotpath
+func (c *Capacitor) open() {
+	if c.peakW < 0 {
+		return
+	}
+	t0 := c.rechargeAnchor()
+	margin := 0x1p-30 * (2*c.maxJ + c.peakW*(math.Abs(t0)+c.period))
+	needRoom := c.energyJ - c.floorJ - margin
+	headroom := c.maxJ - c.energyJ - margin
+	if needRoom > 0 && headroom > 0 {
+		c.batchT0, c.needRoom, c.headroom = t0, needRoom, headroom
+	}
+}
+
+// settle applies the batch if it admitted any draw. Every observer of
+// the store calls it first. A batch with nothing pending stays open:
+// its bounds still hold.
+//
+//ehdl:hotpath
+func (c *Capacitor) settle() {
+	if c.pendOps != 0 {
+		c.applyBatch()
+	}
+}
+
+// closeBatch settles and closes the batch, ahead of a change to the
+// store its bounds did not foresee.
+//
+//ehdl:hotpath
+func (c *Capacitor) closeBatch() {
+	c.settle()
+	c.needRoom = -1
+}
+
+// applyBatch folds the batch into the store and closes it: the harvest
+// of its whole window in one step, then its summed need. For a
+// one-draw batch this is the per-op step's arithmetic, operation for
+// operation.
+//
+//ehdl:hotpath
+func (c *Capacitor) applyBatch() {
+	if c.pendDt > 0 {
+		t1 := c.rechargeAnchor()
+		if c.mode == modeConstant {
+			t1 = c.pendDt
+		}
+		c.accrue(c.batchT0, t1, c.pendDt)
+	}
+	c.energyJ -= c.pendNeed
+	c.pendNeed, c.pendDt, c.pendOps, c.needRoom = 0, 0, 0, -1
 }
 
 // Recharge implements device.Supply: advance off-time until the
@@ -376,41 +522,26 @@ func (c *Capacitor) Draw(nJ float64, dt float64) bool {
 // horizon, which can misreport a slow-but-charging custom source as
 // dead; implement Analytic to avoid that.
 func (c *Capacitor) Recharge() (float64, bool) {
+	c.closeBatch()
 	if c.analytic != nil {
 		return c.rechargeAnalytic(c.analytic)
 	}
 	return c.RechargeEuler(eulerStep, eulerHorizon)
 }
 
-// integrateHarvest accrues harvested energy over dt seconds of device
-// activity: exactly (closed form) for Analytic profiles — anchored on
-// the phase accumulator for periodic profiles and on zero for constant
-// ones, so the arithmetic does not depend on absolute simulated age —
-// in a single power-at-window-start step otherwise.
+// accrue folds dt > 0 seconds of harvest, which ran the anchor from t0
+// to t1, into the store: exactly (closed form) for Analytic profiles —
+// anchored on the phase accumulator for periodic profiles and on zero
+// for constant ones, so the arithmetic does not depend on absolute
+// simulated age — in a single power-at-window-start step otherwise.
 //
 //ehdl:hotpath
-func (c *Capacitor) integrateHarvest(dt float64) {
-	if dt <= 0 {
-		return
-	}
+func (c *Capacitor) accrue(t0, t1, dt float64) {
 	var gross float64
-	switch c.mode {
-	case modePeriodic:
-		t1 := c.phase + dt
-		gross = c.energyBetween(c.phase, t1)
-		if t1 < c.period {
-			c.phase = t1 // what math.Mod returns for 0 <= t1 < period
-		} else {
-			c.phase = math.Mod(t1, c.period)
-		}
-	case modeConstant:
-		gross = c.analytic.EnergyBetween(0, dt)
-	default:
-		if c.analytic != nil {
-			gross = c.energyBetween(c.nowSec, c.nowSec+dt)
-		} else {
-			gross = c.profile.PowerAt(c.nowSec) * dt
-		}
+	if c.analytic != nil {
+		gross = c.energyBetween(t0, t1)
+	} else {
+		gross = c.profile.PowerAt(t0) * dt
 	}
 	c.energyJ += gross - c.cfg.LeakageW*dt
 	if c.energyJ < 0 {

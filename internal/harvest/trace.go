@@ -235,6 +235,16 @@ func (p *TraceProfile) localCum(r float64) float64 {
 	return p.cum[i] + 0.5*(p.watts[i]+p.segPower(i, r))*dt
 }
 
+// peakPower returns the largest breakpoint power, which the
+// piecewise-linear curve never exceeds.
+func (p *TraceProfile) peakPower() float64 {
+	var peak float64
+	for _, w := range p.watts {
+		peak = math.Max(peak, w)
+	}
+	return peak
+}
+
 // PowerAt implements Profile.
 func (p *TraceProfile) PowerAt(t float64) float64 {
 	if !p.repeat && t >= p.Duration() {
