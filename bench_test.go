@@ -362,6 +362,50 @@ func BenchmarkCapacitorDraw(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceCharge measures the device side of one charged op on
+// a capacitor: SONIC's per-chunk op mix (read four weight/activation
+// pairs from FRAM, four software MACs, commit the accumulator and its
+// tag), rebooting on brown-out. It reports ns per charge; the charge
+// path allocates nothing.
+func BenchmarkDeviceCharge(b *testing.B) {
+	c, err := harvest.NewCapacitor(harvest.PaperConfig(),
+		harvest.SquareProfile{PeakWatts: 5e-3, Period: 0.1, Duty: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := device.New(device.DefaultCosts(), c)
+	var acc, tag device.NVWord
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		done = chargeSONICChunks(d, &acc, &tag, done, b.N)
+		if done < b.N && !d.Reboot() {
+			b.Fatal("supply never recovers")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/charge")
+}
+
+// chargeSONICChunks charges SONIC's chunk op mix for iterations from
+// done up to n, until the supply browns out, and returns the number of
+// iterations completed.
+func chargeSONICChunks(d *device.Device, acc, tag *device.NVWord, done, n int) (completed int) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(device.PowerFailure); !ok {
+				panic(r)
+			}
+		}
+	}()
+	for completed = done; completed < n; completed++ {
+		d.FRAMRead(8, device.CatFRAMRead)
+		d.CPUMACs(4)
+		acc.Write(d, device.CatCheckpoint, uint64(completed))
+		tag.Write(d, device.CatCheckpoint, uint64(completed))
+	}
+	return completed
+}
+
 // BenchmarkRecharge measures one full VOff→VOn recharge under weak
 // ambient sources (20–500 µW mean, sub-second to ~19 s of off-time),
 // analytic engine vs the retained Euler oracle. The closed-form path

@@ -71,7 +71,8 @@ func (Continuous) Recharge() (float64, bool) { return 0, true }
 // stats across thousands of identical boots with results bit-identical
 // to simulating each one.
 type Device struct {
-	Costs  Costs
+	costs  Costs
+	prices *priceTable // filled from costs; see charges.go
 	supply Supply
 
 	// Lifetime totals of sealed (completed) boots; the in-progress
@@ -106,33 +107,35 @@ type Device struct {
 
 // New returns a Device with the given cost table powered by supply.
 func New(costs Costs, supply Supply) *Device {
-	return &Device{Costs: costs, supply: supply, bootNVHash: fnvOffset64, markNVHash: fnvOffset64}
+	return &Device{costs: costs, prices: pricesFor(costs), supply: supply,
+		bootNVHash: nvHashSeed, markNVHash: nvHashSeed}
 }
 
-// Consume charges cycles and nJ to category cat, drawing from the
-// supply. It panics with PowerFailure when the supply browns out.
-// Runtimes normally use the higher-level charge helpers in charges.go.
-//
-//ehdl:hotpath
-func (d *Device) Consume(cat Category, cycles uint64, nJ float64) {
-	dt := float64(cycles) / d.Costs.ClockHz
-	if !d.supply.Draw(nJ, dt) {
-		panic(PowerFailure{})
-	}
-	d.bootCycles += cycles
-	d.bootEnergy[cat] += nJ
-}
+// Costs returns the device's cost table. It is fixed at New: the
+// device prices its ops from a table derived from it.
+func (d *Device) Costs() Costs { return d.costs }
 
 // Supply returns the power supply the device draws from — the
 // intermittent runner uses it to interrogate harvest.Capacitor for
 // steady-cycle fixed points.
 func (d *Device) Supply() Supply { return d.supply }
 
-// FNV-1a parameters for the persistent-write ledger hash.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
+// nvHashSeed is the write-log signature of an empty log.
+const nvHashSeed uint64 = 14695981039346656037
+
+// nvFold folds one 64-bit word w into the write-log signature h with
+// murmur3's fmix64 finalizer. The xor and every step of fmix64 are
+// bijections of h for a fixed w, so two logs that differ in a single
+// word always end with different signatures.
+func nvFold(h, w uint64) uint64 {
+	h ^= w
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // noteNVWord folds one committed 64-bit nonvolatile write into the
 // current boot's write-log signature. The NV types in nv.go call it
@@ -142,12 +145,7 @@ const (
 // hashed; buffer writes go through noteNVWords, which also folds the
 // target position.
 func (d *Device) noteNVWord(v uint64) {
-	h := d.bootNVHash
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
+	h := nvFold(d.bootNVHash, v)
 	d.bootNVHash = h
 	d.bootNVWrites++
 	if d.bootNVWrites == d.prevNVWrites {
@@ -157,24 +155,15 @@ func (d *Device) noteNVWord(v uint64) {
 
 // noteNVWords folds a committed chunk of Q15 nonvolatile buffer writes
 // into the current boot's write-log signature: each word contributes
-// its buffer position AND its value, so positional progress (a
-// constant sentinel committed to an advancing slot) changes the
-// signature just like a changing value does.
+// its buffer position AND its value, folded as one word
+// position<<16 | value, so positional progress (a constant sentinel
+// committed to an advancing slot) changes the signature just like a
+// changing value does.
 func (d *Device) noteNVWords(offset int, vals []fixed.Q15) {
 	h := d.bootNVHash
 	n := d.bootNVWrites
 	for i, q := range vals {
-		p := uint64(uint32(offset + i))
-		for b := 0; b < 4; b++ {
-			h ^= p & 0xff
-			h *= fnvPrime64
-			p >>= 8
-		}
-		v := uint64(uint16(q))
-		h ^= v & 0xff
-		h *= fnvPrime64
-		h ^= v >> 8
-		h *= fnvPrime64
+		h = nvFold(h, uint64(uint32(offset+i))<<16|uint64(uint16(q)))
 		n++
 		if n == d.prevNVWrites {
 			d.markNVHash = h
@@ -186,7 +175,8 @@ func (d *Device) noteNVWords(offset int, vals []fixed.Q15) {
 
 // BootStats is the accounting of the current boot alone: active
 // cycles, per-category energy, and the persistent-write ledger (count
-// and FNV-1a signature of every committed NV write, in program order).
+// and order-sensitive signature of every committed NV write, in
+// program order).
 // Per-boot deltas are accumulated from zero each boot, so two boots
 // executing the same charged op sequence report bit-identical
 // BootStats — the exactness the intermittent runner's DNF verdicts
@@ -233,11 +223,11 @@ func (d *Device) sealBoot() {
 	}
 	d.nvWrites += d.bootNVWrites
 	d.prevNVWrites = d.bootNVWrites
-	d.markNVHash = fnvOffset64 // hash at length 0; crossings overwrite
+	d.markNVHash = nvHashSeed // hash at length 0; crossings overwrite
 	d.bootCycles = 0
 	d.bootEnergy = [NumCategories]float64{}
 	d.bootNVWrites = 0
-	d.bootNVHash = fnvOffset64
+	d.bootNVHash = nvHashSeed
 	d.bootFRAMWrites = 0
 }
 
@@ -287,13 +277,14 @@ func (d *Device) Reboot() bool {
 	return true
 }
 
-// AllocSRAM registers a volatile allocation of n elements of wordBytes
-// bytes each, returning an error when the 8 KB SRAM would overflow.
-// The returned register function is called by the allocator below.
+// reserveSRAM accounts a volatile allocation of the given size and
+// registers wipe, which Reboot calls to zero it. It returns an error
+// when the 8 KB SRAM would overflow. The allocators in sram.go are its
+// callers.
 func (d *Device) reserveSRAM(bytes int, wipe func()) error {
-	if d.sramUsed+bytes > d.Costs.SRAMBytes {
+	if d.sramUsed+bytes > d.costs.SRAMBytes {
 		return fmt.Errorf("device: SRAM overflow: %d B used, %d B requested, %d B capacity",
-			d.sramUsed, bytes, d.Costs.SRAMBytes)
+			d.sramUsed, bytes, d.costs.SRAMBytes)
 	}
 	d.sramUsed += bytes
 	d.sramZones = append(d.sramZones, wipe)
@@ -305,9 +296,9 @@ func (d *Device) reserveSRAM(bytes int, wipe func()) error {
 // 256 KB FRAM would overflow — RAD's architecture search uses this as
 // its hard constraint.
 func (d *Device) ReserveFRAM(bytes int) error {
-	if d.framUsed+bytes > d.Costs.FRAMBytes {
+	if d.framUsed+bytes > d.costs.FRAMBytes {
 		return fmt.Errorf("device: FRAM overflow: %d B used, %d B requested, %d B capacity",
-			d.framUsed, bytes, d.Costs.FRAMBytes)
+			d.framUsed, bytes, d.costs.FRAMBytes)
 	}
 	d.framUsed += bytes
 	return nil
@@ -343,7 +334,7 @@ func (d *Device) Stats() Stats {
 		Boots:        d.boots,
 		NVWrites:     d.nvWrites + d.bootNVWrites,
 	}
-	s.ActiveSeconds = float64(s.ActiveCycles) / d.Costs.ClockHz
+	s.ActiveSeconds = float64(s.ActiveCycles) / d.costs.ClockHz
 	for c := range s.Energy {
 		s.Energy[c] = d.energy[c] + d.bootEnergy[c]
 	}

@@ -30,15 +30,15 @@ func newTestDevice() *Device {
 
 func TestConsumeAccountsCyclesAndEnergy(t *testing.T) {
 	d := newTestDevice()
-	d.Consume(CatCPU, 100, 36)
+	d.CPUOps(100)
 	s := d.Stats()
 	if s.ActiveCycles != 100 {
 		t.Errorf("cycles = %d, want 100", s.ActiveCycles)
 	}
-	if math.Abs(s.Energy[CatCPU]-36) > 1e-12 {
-		t.Errorf("CPU energy = %v, want 36", s.Energy[CatCPU])
+	if math.Abs(s.Energy[CatCPU]-180) > 1e-12 {
+		t.Errorf("CPU energy = %v, want 180", s.Energy[CatCPU])
 	}
-	wantSec := 100.0 / d.Costs.ClockHz
+	wantSec := 100.0 / d.Costs().ClockHz
 	if math.Abs(s.ActiveSeconds-wantSec) > 1e-15 {
 		t.Errorf("seconds = %v, want %v", s.ActiveSeconds, wantSec)
 	}

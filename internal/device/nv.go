@@ -185,10 +185,3 @@ func (b *NVDoubleQ15) Seq(d *Device, cat Category) uint64 {
 
 // PeekSeq returns the commit sequence without charging (tests only).
 func (b *NVDoubleQ15) PeekSeq() uint64 { return b.sel.Peek() >> 1 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -360,8 +360,8 @@ func TestSRAMCeiling(t *testing.T) {
 	if _, err := ace.New(d, store, randInput(784, 3), fx); err != nil {
 		t.Fatalf("OKG model does not fit: %v (SRAM used %d)", err, d.SRAMUsed())
 	}
-	if d.SRAMUsed() > d.Costs.SRAMBytes {
-		t.Errorf("SRAM used %d exceeds %d", d.SRAMUsed(), d.Costs.SRAMBytes)
+	if d.SRAMUsed() > d.Costs().SRAMBytes {
+		t.Errorf("SRAM used %d exceeds %d", d.SRAMUsed(), d.Costs().SRAMBytes)
 	}
 	t.Logf("OKG ACE SRAM footprint: %d bytes", d.SRAMUsed())
 }

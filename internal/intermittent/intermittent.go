@@ -139,7 +139,7 @@ type BootRecord struct {
 	EnergynJ [device.NumCategories]float64
 	// NVWrites / NVHash are the boot's persistent-write ledger: the
 	// count of committed NV-typed word writes and the order-sensitive
-	// FNV-1a signature over their values.
+	// signature over their values (and buffer positions).
 	NVWrites uint64
 	NVHash   uint64
 	// FRAMWriteWords counts every word charged to an FRAM write this
@@ -495,7 +495,7 @@ func (r *Runner) Run(d *device.Device, p Program) Result {
 			NVWrites:       cycle1.NVWrites,
 			FRAMWriteWords: cycle1.FRAMWriteWords,
 		}, cycle1.OffSec)
-		wall := float64(cycle1.Cycles)/d.Costs.ClockHz + cycle1.OffSec
+		wall := float64(cycle1.Cycles)/d.Costs().ClockHz + cycle1.OffSec
 		supply.SkipSteadyCycles(k, wall, cycle1.CycleHarvestJ)
 		ffBoots += k // replayed already — count them on every exit path
 		if completionJump {

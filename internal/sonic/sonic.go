@@ -49,7 +49,13 @@ type Engine struct {
 	// negligible). A stale or torn value merely causes a recompute.
 	scaleWord device.NVWord
 
-	windowOffs map[int][]int
+	// windowOffs[li] holds conv layer li's window offsets (nil for
+	// other kinds).
+	windowOffs [][]int
+	// wOps and xOps hold one element's gathered MAC operands. They are
+	// host scratch standing in for the operands the MSP430 reads from
+	// FRAM as it goes (macRun charges those reads), not device SRAM.
+	wOps, xOps []fixed.Q15
 	// elemBase[li] is the global element index of layer li's first
 	// output element; elemBase[len] is the total.
 	elemBase []uint64
@@ -61,7 +67,7 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
 		return nil, fmt.Errorf("sonic: input length %d, want %d", got, want)
 	}
-	e := &Engine{d: d, store: store, windowOffs: map[int][]int{}}
+	e := &Engine{d: d, store: store, windowOffs: make([][]int, len(m.Layers))}
 	in, err := device.NewNVQ15(d, len(input))
 	if err != nil {
 		return nil, err
@@ -70,6 +76,7 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 	e.in = in
 
 	base := uint64(0)
+	opsLen := 0
 	for li := range m.Layers {
 		l := &m.Layers[li]
 		buf, err := device.NewNVQ15(d, quant.LayerOutLen(l.Spec))
@@ -77,13 +84,19 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 			return nil, err
 		}
 		e.acts = append(e.acts, buf)
-		if l.Spec.Kind == "conv" {
+		switch l.Spec.Kind {
+		case "conv":
 			e.windowOffs[li] = exec.WindowOffsets(l)
+			opsLen = max(opsLen, len(e.windowOffs[li]))
+		case "bcm":
+			opsLen = max(opsLen, l.Spec.In)
 		}
 		e.elemBase = append(e.elemBase, base)
 		base += uint64(elementCount(l))
 	}
 	e.elemBase = append(e.elemBase, base)
+	e.wOps = make([]fixed.Q15, opsLen)
+	e.xOps = make([]fixed.Q15, opsLen)
 	// Control state lives in FRAM.
 	if err := d.ReserveFRAM(3 * 8); err != nil {
 		return nil, err
@@ -177,33 +190,23 @@ func (e *Engine) commitAcc(d *device.Device, tag uint64, acc fixed.Q31, inner in
 	e.accTag.Write(d, device.CatCheckpoint, tag)
 }
 
-// macRun performs the SONIC inner loop from index start: chunks of
-// commitStride MACs, each charged and then committed.
+// macRun performs the SONIC inner loop over the operand pairs
+// (w[t], x[t]) from index start: chunks of commitStride MACs, each
+// charged and then committed. extraOps charges additional per-MAC
+// index arithmetic (modular indexing for BCM rows).
 func (e *Engine) macRun(d *device.Device, tag uint64, acc fixed.Q31, start int,
-	w, x []fixed.Q15, xoff func(int) int) fixed.Q31 {
-	return e.macRunFn(d, tag, acc, start, len(w), 0, func(k int) (fixed.Q15, fixed.Q15) {
-		return w[k], x[xoff(k)]
-	})
-}
-
-// macRunFn is macRun with fully general operand access: term(t)
-// returns the t-th weight/activation pair. extraOps charges additional
-// per-MAC index arithmetic (modular indexing for BCM rows).
-func (e *Engine) macRunFn(d *device.Device, tag uint64, acc fixed.Q31, start, n, extraOps int,
-	term func(int) (fixed.Q15, fixed.Q15)) fixed.Q31 {
+	w, x []fixed.Q15, extraOps int) fixed.Q31 {
+	n := len(w)
+	x = x[:n]
 	for i := start; i < n; i += commitStride {
-		end := i + commitStride
-		if end > n {
-			end = n
-		}
+		end := min(i+commitStride, n)
 		d.FRAMRead(2*(end-i), device.CatFRAMRead)
 		d.CPUMACs(end - i)
 		if extraOps > 0 {
 			d.CPUOps(extraOps * (end - i))
 		}
 		for k := i; k < end; k++ {
-			wv, xv := term(k)
-			acc = fixed.MAC(acc, wv, xv)
+			acc = fixed.MAC(acc, w[k], x[k])
 		}
 		e.commitAcc(d, tag, acc, end)
 	}
@@ -226,9 +229,11 @@ func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *de
 
 	d.CPUOps(controlOpsPerElement)
 	acc, start := e.resumeAcc(d, tag)
-	acc = e.macRun(d, tag, acc, start,
-		wRaw[oc*win:(oc+1)*win], xRaw,
-		func(k int) int { return origin + offs[k] })
+	x := e.xOps[:win]
+	for k := start; k < win; k++ {
+		x[k] = xRaw[origin+offs[k]]
+	}
+	acc = e.macRun(d, tag, acc, start, wRaw[oc*win:(oc+1)*win], x, 0)
 	d.FRAMRead(1, device.CatFRAMRead) // bias
 	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[oc])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)
@@ -241,9 +246,7 @@ func (e *Engine) denseElem(d *device.Device, li int, l *quant.QLayer, in, out *d
 
 	d.CPUOps(controlOpsPerElement)
 	acc, start := e.resumeAcc(d, tag)
-	acc = e.macRun(d, tag, acc, start,
-		wRaw[elem*s.In:(elem+1)*s.In], xRaw[:s.In],
-		func(k int) int { return k })
+	acc = e.macRun(d, tag, acc, start, wRaw[elem*s.In:(elem+1)*s.In], xRaw, 0)
 	d.FRAMRead(1, device.CatFRAMRead)
 	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[elem])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)
@@ -262,23 +265,37 @@ func (e *Engine) bcmElem(d *device.Device, li int, l *quant.QLayer, in, out *dev
 	xRaw := in.Raw()
 
 	d.CPUOps(controlOpsPerElement)
-	term := func(t int) (fixed.Q15, fixed.Q15) {
-		j := t / k
-		c := t % k
-		return wRaw[(i*q+j)*k+(rk-c+k)%k], xRaw[t]
-	}
-	extraOps := 1
+	extraOps, scale := 1, fixed.Q15(0)
 	if l.CosNorm {
-		scale := e.layerScale(d, li, l, xRaw[:s.In])
+		scale = e.layerScale(d, li, l, xRaw[:s.In])
 		extraOps = 2
-		term = func(t int) (fixed.Q15, fixed.Q15) {
-			j := t / k
-			c := t % k
-			return wRaw[(i*q+j)*k+(rk-c+k)%k], fixed.Mul(xRaw[t], scale)
-		}
 	}
 	acc, start := e.resumeAcc(d, tag)
-	acc = e.macRunFn(d, tag, acc, start, s.In, extraOps, term)
+	x := xRaw[:s.In]
+	if l.CosNorm {
+		x = e.xOps[:s.In]
+		for t := start; t < s.In; t++ {
+			x[t] = fixed.Mul(xRaw[t], scale)
+		}
+	}
+	// Term t = j·k + c multiplies x[t] by entry (rk − c) mod k of
+	// generator block (i, j): walk the blocks and step the column
+	// down, wrapping, instead of dividing per term.
+	w := e.wOps[:s.In]
+	c := start % k
+	col := (rk - c + k) % k
+	base := (i*q + start/k) * k
+	for t := start; t < s.In; t++ {
+		w[t] = wRaw[base+col]
+		if col == 0 {
+			col = k
+		}
+		col--
+		if c++; c == k {
+			c, col, base = 0, rk, base+k
+		}
+	}
+	acc = e.macRun(d, tag, acc, start, w, x, extraOps)
 	d.FRAMRead(1, device.CatFRAMRead)
 	v := fixed.SatAdd(fixed.NarrowQ31(acc, l.AccShift()), e.store.B[li].Raw()[elem])
 	out.StoreOne(d, device.CatFRAMWrite, elem, v)

@@ -49,7 +49,11 @@ type Engine struct {
 	wBuf   []fixed.Q15
 	accBuf []fixed.Q31
 
-	windowOffs map[int][]int
+	// windowOffs[li] and windowRuns[li] hold conv layer li's window
+	// offsets and the lengths of their contiguous runs (nil for other
+	// kinds).
+	windowOffs [][]int
+	windowRuns [][]int
 	elemBase   []uint64
 }
 
@@ -59,7 +63,8 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 	if got, want := len(input), m.InShape[0]*m.InShape[1]*m.InShape[2]; got != want {
 		return nil, fmt.Errorf("tails: input length %d, want %d", got, want)
 	}
-	e := &Engine{d: d, store: store, windowOffs: map[int][]int{}}
+	e := &Engine{d: d, store: store,
+		windowOffs: make([][]int, len(m.Layers)), windowRuns: make([][]int, len(m.Layers))}
 	in, err := device.NewNVQ15(d, len(input))
 	if err != nil {
 		return nil, err
@@ -79,6 +84,7 @@ func New(d *device.Device, store *exec.ModelStore, input []fixed.Q15) (*Engine, 
 		switch l.Spec.Kind {
 		case "conv":
 			e.windowOffs[li] = exec.WindowOffsets(l)
+			e.windowRuns[li] = contiguousRuns(e.windowOffs[li])
 			if n := exec.KernelLen(l); n > vecLen {
 				vecLen = n
 			}
@@ -198,26 +204,34 @@ func (e *Engine) layerOf(elem uint64) int {
 	panic("tails: element cursor out of range")
 }
 
-// gatherWindow DMAs the kernel window for output position (oy, ox)
-// into xBuf: one DMA per contiguous input row segment, the access
-// pattern the real DMA engine supports.
-func (e *Engine) gatherWindow(d *device.Device, l *quant.QLayer, in *device.NVQ15, oy, ox int, offs []int) {
-	s := l.Spec
-	xRaw := in.Raw()
-	origin := oy*s.InW + ox
-	// Count contiguous runs: offsets are sorted row-major, so runs are
-	// maximal stretches of consecutive offsets.
-	i := 0
-	for i < len(offs) {
+// contiguousRuns returns the lengths of the maximal stretches of
+// consecutive offsets in offs, in order.
+func contiguousRuns(offs []int) []int {
+	var runs []int
+	for i := 0; i < len(offs); {
 		j := i + 1
 		for j < len(offs) && offs[j] == offs[j-1]+1 {
 			j++
 		}
-		d.DMAFromFRAM(j-i, device.CatDMA)
-		for k := i; k < j; k++ {
-			e.xBuf[k] = xRaw[origin+offs[k]]
-		}
+		runs = append(runs, j-i)
 		i = j
+	}
+	return runs
+}
+
+// gatherWindow DMAs the kernel window for output position (oy, ox)
+// into xBuf: one DMA per contiguous run of window offsets (an input
+// row segment), the access pattern the real DMA engine supports.
+func (e *Engine) gatherWindow(d *device.Device, l *quant.QLayer, in *device.NVQ15, oy, ox int, offs, runs []int) {
+	s := l.Spec
+	xRaw := in.Raw()
+	origin := oy*s.InW + ox
+	i := 0
+	for _, n := range runs {
+		d.DMAFromFRAM(n, device.CatDMA)
+		src := origin + offs[i]
+		copy(e.xBuf[i:i+n], xRaw[src:src+n])
+		i += n
 	}
 }
 
@@ -235,7 +249,7 @@ func (e *Engine) convElem(d *device.Device, li int, l *quant.QLayer, in, out *de
 	d.CPUOps(controlOpsPerElement)
 	// TAILS re-stages weights and window per element: its tasks are
 	// self-contained so that any of them can be replayed.
-	e.gatherWindow(d, l, in, oy, ox, offs)
+	e.gatherWindow(d, l, in, oy, ox, offs, e.windowRuns[li])
 	d.DMAFromFRAM(win, device.CatDMA)
 	copy(e.wBuf[:win], e.store.W[li].Raw()[oc*win:(oc+1)*win])
 
